@@ -535,10 +535,10 @@ func runScale(out io.Writer, cfg sim.ScaleConfig, jsonPath string) error {
 	if cfg.Reference {
 		engine = "reference"
 	}
-	fmt.Fprintf(out, "scale %s: %d racks %d hosts %d VMs | %d steps in %.2fs (%.1f ms/step, max %.1f) | %.0f allocs/step %.1f MB peak RSS | alerts %d/%d migrations %d\n",
+	fmt.Fprintf(out, "scale %s: %d racks %d hosts %d VMs | %d steps in %.2fs (%.1f ms/step, max %.1f) | %.0f allocs/step %.1f MB peak RSS | alerts %d/%d migrations %d | manage %.1f ms/step\n",
 		engine, res.Racks, res.Hosts, res.VMs, res.Steps, res.TotalSeconds,
 		res.MeanStepSeconds*1e3, res.MaxStepSeconds*1e3,
-		res.AllocsPerStep, res.PeakRSSMB, res.ServerAlerts, res.ToRAlerts, res.Migrations)
+		res.AllocsPerStep, res.PeakRSSMB, res.ServerAlerts, res.ToRAlerts, res.Migrations, res.MeanManageMS)
 	if jsonPath == "" {
 		return nil
 	}

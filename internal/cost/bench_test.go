@@ -9,9 +9,10 @@ import (
 
 // BenchmarkModelRefresh measures the per-round table rebuild the runtime
 // pays after every bandwidth change (runtime marks the model stale, the
-// next query refreshes). fused is the production path: steady-state
-// bandwidth-only refresh reusing warm tables and skipping the distance
-// sweep; naive is the seed's two fresh map-backed sweeps. Record with
+// next query refreshes). demand is the production path on a step with one
+// alerted rack: a steady-state refresh (weights frozen, distance rows kept)
+// plus the one transmission row that rack's shim reads; naive is the
+// seed's two full fresh sweeps. Record with
 //
 //	go test -run=^$ -bench ModelRefresh -benchtime=2x -benchmem ./internal/cost/
 func BenchmarkModelRefresh(b *testing.B) {
@@ -27,12 +28,14 @@ func BenchmarkModelRefresh(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("fused", func(b *testing.B) {
-		m.Refresh() // warm tables
+	a, z := c.Racks[0], c.Racks[len(c.Racks)-1]
+	b.Run("demand", func(b *testing.B) {
+		m.RackPairCost(a, z) // warm row and scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.Refresh()
+			m.RackPairCost(a, z)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {

@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"sheriff/internal/dcn"
-	"sheriff/internal/pool"
 	"sheriff/internal/topology"
 )
 
@@ -72,7 +71,8 @@ type Model struct {
 	structVer uint64            // Graph.StructVersion behind racks and dist
 }
 
-// New builds a cost model, computing rack-sourced shortest-path tables.
+// New builds a cost model. It runs no shortest-path sweep: rows are swept
+// on demand by the first query that reads them.
 func New(c *dcn.Cluster, p Params) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -90,79 +90,29 @@ func New(c *dcn.Cluster, p Params) (*Model, error) {
 	return m, nil
 }
 
-// NewDeferred builds a cost model without computing the rack-sourced
-// shortest-path tables: construction is O(1) instead of |racks| Dijkstra
-// sweeps over dense per-source tables. The tables are built by the first
-// Refresh — which the runtime's management phase already issues before any
-// shim consults the model — or lazily by the first cost query. On a
-// 5,000-rack fabric the eager tables cost hundreds of MB and tens of
-// seconds; a scale run that never raises an alert should pay neither.
-func NewDeferred(c *dcn.Cluster, p Params) (*Model, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m := &Model{params: p, cluster: c}
-	m.transCost = func(e topology.Edge) float64 {
-		if e.Bandwidth <= 0 || e.Bandwidth < p.BandwidthFloor {
-			return topology.Inf
-		}
-		t := p.RefSize / e.Bandwidth
-		u := e.Bandwidth / e.Capacity
-		return p.Delta*t + p.Eta*u
-	}
-	return m, nil
-}
-
-// ensure makes the tables usable for a deferred model queried before its
-// first Refresh.
-func (m *Model) ensure() {
-	if m.trans == nil {
-		m.Refresh()
-	}
-}
-
-// Refresh recomputes the shortest-path tables from current link state.
-// Only rack nodes are sources — Eqn. (1) is evaluated between delegation
+// Refresh snapshots the current link state for later cost queries. Only
+// rack nodes are sources — Eqn. (1) is evaluated between delegation
 // nodes, so per-rack Dijkstra replaces the paper's Floyd–Warshall with
 // identical results at far lower cost on large fabrics.
 //
-// The refresh is fused: when the wiring changed (or on first build), the
-// transmission and distance metrics run as one pass over the graph's CSR
-// view — both edge-cost vectors materialized in a single edge scan, both
-// sweeps per source back-to-back on the same hot scratch, one pool
-// fan-out. In steady state only bandwidths change, and physical distance
-// does not depend on them, so the distance table is carried over
-// untouched and Refresh pays for the transmission sweep alone, reusing
-// the previous tables (allocation-free after warmup).
+// Refresh itself sweeps nothing: it freezes the per-edge transmission
+// weights (one pass over the edges) and starts a new table epoch. A
+// rack's row is swept on its first query after that, against the frozen
+// weights, so only the racks management actually reads — the alerted
+// racks and their candidate destinations — pay for a sweep, and a
+// bandwidth change after Refresh stays invisible until the next Refresh.
+// Physical distance does not depend on bandwidth, so the distance table
+// is re-frozen only when the wiring changed (Graph.StructVersion) and its
+// rows stay current across bandwidth-only refreshes. Allocation-free
+// after warmup.
 func (m *Model) Refresh() {
 	g := m.cluster.Graph
-	if m.trans == nil || g.StructVersion() != m.structVer {
+	if m.dist == nil || g.StructVersion() != m.structVer {
 		m.structVer = g.StructVersion()
 		m.racks = g.Racks()
-		m.trans, m.dist = topology.DijkstraPairInto(g, m.racks, m.transCost, topology.DistanceCost, m.trans, m.dist)
-		return
+		m.dist = topology.DijkstraOnDemand(g, m.racks, topology.DistanceCost, m.dist)
 	}
-	m.trans = topology.DijkstraFromInto(g, m.racks, m.transCost, m.trans)
-}
-
-// refreshNaive is the seed's Refresh, kept as the "before" side of
-// BENCH_route.json and as ground truth for the fused-refresh equivalence
-// test: two independent full sweeps with fresh map-backed tables, run
-// concurrently on the shared pool.
-func (m *Model) refreshNaive() {
-	racks := m.cluster.Graph.Racks()
-	var trans, dist *topology.MultiSource
-	pool.Shared().Run(
-		func() {
-			trans = topology.DijkstraFrom(m.cluster.Graph, racks, m.transCost)
-		},
-		func() {
-			dist = topology.DijkstraFrom(m.cluster.Graph, racks, topology.DistanceCost)
-		},
-	)
-	m.trans, m.dist = trans, dist
-	m.racks = racks
-	m.structVer = m.cluster.Graph.StructVersion()
+	m.trans = topology.DijkstraOnDemand(g, m.racks, m.transCost, m.trans)
 }
 
 // Params returns the model constants.
@@ -174,7 +124,6 @@ func (m *Model) Params() Params { return m.params }
 // the actual size. Returns ErrBandwidthBelowFloor when no feasible path
 // exists.
 func (m *Model) TransmissionCost(src, dst *dcn.Rack, size float64) (float64, error) {
-	m.ensure()
 	if src == dst {
 		return 0, nil
 	}
@@ -198,7 +147,6 @@ func (m *Model) TransmissionCost(src, dst *dcn.Rack, size float64) (float64, err
 
 // Distance returns the physical-distance metric Σ D(e) between two racks.
 func (m *Model) Distance(a, b *dcn.Rack) float64 {
-	m.ensure()
 	return m.dist.Dist(a.NodeID, b.NodeID)
 }
 
@@ -207,7 +155,6 @@ func (m *Model) Distance(a, b *dcn.Rack) float64 {
 // the realization of the (Σ_{e∈G_r[N_d(v_i)]}D(e) − Σ_{e∈G_r[N_d(v_p)]}D(e))·C_d
 // term of Sec. III.C. Moving toward peers yields a negative contribution.
 func (m *Model) DependencyCost(vm *dcn.VM, src, dst *dcn.Rack) float64 {
-	m.ensure()
 	if src == dst {
 		return 0
 	}
@@ -242,7 +189,6 @@ func (m *Model) Migration(vm *dcn.VM, dst *dcn.Host) (float64, error) {
 // reference-size VM — the inter-rack metric handed to the k-median
 // reduction of Sec. V.A. Same-rack cost is 0.
 func (m *Model) RackPairCost(a, b *dcn.Rack) float64 {
-	m.ensure()
 	if a == b {
 		return 0
 	}

@@ -311,16 +311,22 @@ func (n *Network) AlternatePaths(f *Flow, k int) [][]int {
 
 // UpdateGraphBandwidth writes residual bandwidth (capacity − load) back
 // into the topology graph so the migration cost model sees the traffic
-// plane's state. Negative residuals clamp to zero.
+// plane's state. Negative residuals clamp to zero. Each link is visited
+// once, from its lower-ID end: SetBandwidth writes both directions, and
+// links are installed with the same capacity both ways, so the visit from
+// the other end would only repeat the same write.
 func (n *Network) UpdateGraphBandwidth() {
-	for _, id := range append(n.g.Racks(), n.g.Switches()...) {
+	for id := 0; id < n.g.NumNodes(); id++ {
 		for _, e := range n.g.Edges(id) {
+			if e.To < e.From {
+				continue
+			}
 			residual := e.Capacity - n.load[[2]int{e.From, e.To}]
 			if residual < 0 {
 				residual = 0
 			}
-			// SetBandwidth sets both directions; use the max of the two
-			// residuals to stay conservative per undirected link.
+			// Use the smaller of the two directions' residuals to stay
+			// conservative per undirected link.
 			rev := e.Capacity - n.load[[2]int{e.To, e.From}]
 			if rev < 0 {
 				rev = 0

@@ -208,6 +208,9 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 			return nil, fmt.Errorf("runtime: snapshot traces regime (lite=%v) does not match options (lite=%v)", snap.Lite, wantLite)
 		}
 	}
+	if snap.Step < 0 {
+		return nil, fmt.Errorf("runtime: snapshot has negative step %d", snap.Step)
+	}
 	opts.Seed = snap.Seed
 	r, err := New(cluster, model, opts)
 	if err != nil {
@@ -255,6 +258,11 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	for _, p := range snap.FlowPairs {
+		for _, vm := range p[:2] {
+			if _, ok := sh.vmIndex[vm]; !ok {
+				return nil, fmt.Errorf("runtime: snapshot pair (%d,%d) references missing VM %d", p[0], p[1], vm)
+			}
+		}
 		if r.Flows.Flow(p[2]) == nil {
 			return nil, fmt.Errorf("runtime: snapshot pair (%d,%d) references missing flow %d", p[0], p[1], p[2])
 		}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"sheriff/internal/cost"
@@ -212,5 +213,58 @@ func TestSnapshotRejectsQCN(t *testing.T) {
 	}
 	if _, err := Restore(cluster, model, Options{}, &Snapshot{Version: 99}); err == nil {
 		t.Fatal("unknown snapshot version accepted")
+	}
+}
+
+// TestRestoreRejectsCorruptSnapshot: a snapshot whose step or flow pairs
+// cannot belong to the cluster is refused with an error naming the fault.
+func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
+	const pods, seed = 4, 7
+	cluster, model := buildParts(t, pods)
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
+	orig, err := New(cluster, model, Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := orig.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := orig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.FlowPairs) == 0 {
+		t.Fatal("fixture has no flow pairs")
+	}
+	blob, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const missing = 1 << 30
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*Snapshot)
+		want    string
+	}{
+		{"negative step", func(s *Snapshot) { s.Step = -1 }, "negative step -1"},
+		{"pair names unknown first VM", func(s *Snapshot) { s.FlowPairs[0][0] = missing }, "missing VM 1073741824"},
+		{"pair names unknown second VM", func(s *Snapshot) { s.FlowPairs[0][1] = -4 }, "missing VM -4"},
+		{"pair names unknown flow", func(s *Snapshot) { s.FlowPairs[0][2] = missing }, "missing flow 1073741824"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var loaded Snapshot
+			if err := json.Unmarshal(blob, &loaded); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&loaded)
+			freshCluster, freshModel := buildParts(t, pods)
+			if err := freshCluster.Restore(loaded.Cluster); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Restore(freshCluster, freshModel, Options{Seed: seed}, &loaded)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -78,6 +78,7 @@ type ScaleResult struct {
 	TotalSeconds    float64 `json:"total_seconds"` // stepping only
 	MeanStepSeconds float64 `json:"mean_step_seconds"`
 	MaxStepSeconds  float64 `json:"max_step_seconds"`
+	MeanManageMS    float64 `json:"mean_manage_ms"`  // manage phase, per step
 	AllocsPerStep   float64 `json:"allocs_per_step"` // heap objects
 	BytesPerStep    float64 `json:"bytes_per_step"`
 	PeakRSSMB       float64 `json:"peak_rss_mb"` // VmHWM; 0 if unreadable
@@ -88,9 +89,9 @@ type ScaleResult struct {
 	PredictSkew  float64 `json:"predict_skew,omitempty"` // mean shard load skew
 }
 
-// RunScale builds and drives one scale scenario. The cost model is
-// deferred (no eager all-racks Dijkstra tables) so an alert-free run
-// never pays for them.
+// RunScale builds and drives one scale scenario. The cost model sweeps a
+// rack's Dijkstra row only when a query reads it, so an alert-free run
+// never pays for the tables.
 func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Racks < 1 {
@@ -124,7 +125,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		CrossRackDependencyProb: cfg.DependencyProb,
 		Seed:                    cfg.Seed,
 	})
-	model, err := cost.NewDeferred(cluster, cost.PaperParams())
+	model, err := cost.New(cluster, cost.PaperParams())
 	if err != nil {
 		return nil, err
 	}
@@ -170,6 +171,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		if d > res.MaxStepSeconds {
 			res.MaxStepSeconds = d
 		}
+		res.MeanManageMS += stats.Timings.Manage.Seconds() * 1e3
 		res.ServerAlerts += stats.ServerAlerts
 		res.ToRAlerts += stats.ToRAlerts
 		res.Migrations += stats.Migrations
@@ -177,6 +179,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	res.TotalSeconds = time.Since(runStart).Seconds()
 	goruntime.ReadMemStats(&after)
 	res.MeanStepSeconds = res.TotalSeconds / float64(cfg.Steps)
+	res.MeanManageMS /= float64(cfg.Steps)
 	res.AllocsPerStep = float64(after.Mallocs-before.Mallocs) / float64(cfg.Steps)
 	res.BytesPerStep = float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.Steps)
 	res.PeakRSSMB = peakRSSMB()

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"sheriff/internal/pool"
@@ -11,84 +12,79 @@ import (
 // view. For the migration cost model only rack-to-rack paths matter, so
 // running |racks| Dijkstras is far cheaper than cubic Floyd–Warshall on
 // large Fat-Trees (the Sec. V.A collapse only needs G(v_i, v_p) between
-// racks). Tables are dense and source-rank indexed: row i of dist/parent
-// belongs to sources[i], and rank maps node ID → row, so lookups never
-// touch a map and the storage is reusable across sweeps.
+// racks). Rows are source-rank indexed: rows[i] belongs to sources[i], and
+// rank maps node ID → row, so lookups never touch a map.
+//
+// Rows are demand-driven. Preparing a table freezes the per-edge weight
+// vector and the CSR it indexes, and bumps an epoch; a row is swept on
+// its first Dist/Path query of that epoch, against the frozen weights, so
+// a graph mutation between the preparation and the query cannot leak into
+// the row and results are bit-identical to an eager sweep. Queries may
+// run concurrently: each row carries an atomic epoch stamp, the fill is
+// double-checked under the row's lock, and a current row is read without
+// locking. Preparation must not run concurrently with queries.
 type MultiSource struct {
 	n       int
 	sources []int32
-	rank    []int32    // node ID → row index, -1 when not a source
-	tree    []treeNode // len(sources) interleaved (dist, parent) rows of n
+	rank    []int32 // node ID → row index, -1 when not a source
+	rows    []msRow
 
-	weights []wEdge // interleaved (cost, dst) vector of the last sweep
-	scratch []*sweepScratch
+	c       *csr    // CSR the frozen weights index
+	weights []wEdge // interleaved (cost, dst) vector frozen at preparation
+	epoch   uint64  // bumped by every preparation; rows stamped older are stale
+	sweeps  atomic.Int64
+
+	scratchMu sync.Mutex
+	scratch   []*sweepScratch // free list, one entry per concurrent fill
+}
+
+// msRow is one source's shortest-path tree and the epoch it was swept in.
+type msRow struct {
+	stamp atomic.Uint64
+	mu    sync.Mutex
+	tree  []treeNode
 }
 
 // DijkstraFrom computes shortest paths from each source under the edge
 // cost. Costs must be non-negative; Inf-cost edges are skipped. The cost
-// closure is evaluated once per directed edge per sweep (not once per
-// relaxation) to fill a flat weight vector; it must be safe for
-// concurrent calls only in the trivial sense that fillWeights runs on the
-// calling goroutine. The per-source searches are independent and run on
-// the shared worker pool with per-worker reusable scratch.
+// closure is evaluated once per directed edge (not once per relaxation)
+// on the calling goroutine to fill a flat weight vector. Every row is
+// swept before returning, on the shared worker pool.
 func DijkstraFrom(g *Graph, sources []int, cost EdgeCost) *MultiSource {
 	return DijkstraFromInto(g, sources, cost, nil)
 }
 
 // DijkstraFromInto is DijkstraFrom reusing a previous result's storage.
-// When prev's tables fit the graph and source count, the sweep is
+// When prev's rows fit the graph and source count, the sweep is
 // allocation-free after warmup; prev's contents are overwritten and the
 // returned value is prev itself. Pass nil to allocate fresh tables.
 func DijkstraFromInto(g *Graph, sources []int, cost EdgeCost, prev *MultiSource) *MultiSource {
+	ms := DijkstraOnDemand(g, sources, cost, prev)
+	s := len(ms.sources)
+	if s == 1 {
+		ms.fill(0) // inline: the steady single-source path stays allocation-free
+		return ms
+	}
+	pool.Shared().ForEach(s, func(i int) { ms.fill(int32(i)) })
+	return ms
+}
+
+// DijkstraOnDemand is DijkstraFromInto without the sweeps: it freezes the
+// edge weights (one EdgeCost call per directed edge) and leaves every row
+// to be swept by its first query. A caller that reads a few rows of a
+// large source set pays for those rows only.
+func DijkstraOnDemand(g *Graph, sources []int, cost EdgeCost, prev *MultiSource) *MultiSource {
 	c := g.ensureCSR()
 	ms := prev
 	if ms == nil {
 		ms = &MultiSource{}
 	}
 	ms.reset(g, sources)
+	ms.c = c
 	ms.weights = ensureWEdges(ms.weights, len(c.dstID))
 	c.fillWeights(ms.weights, cost)
-	ms.runSweeps(c, nil, nil)
+	ms.epoch++
 	return ms
-}
-
-// DijkstraPairInto fuses two sweeps over the same sources — the cost
-// model's transmission and distance refresh — into one pass: both weight
-// vectors are materialized in a single edge scan, and each source runs
-// its two searches back-to-back on the same hot scratch within one pool
-// fan-out instead of two. The two metrics keep independent heaps (their
-// settle orders differ), so results are bit-identical to two separate
-// DijkstraFrom calls. msA/msB are reused like DijkstraFromInto's prev.
-func DijkstraPairInto(g *Graph, sources []int, costA, costB EdgeCost, msA, msB *MultiSource) (*MultiSource, *MultiSource) {
-	c := g.ensureCSR()
-	if msA == nil {
-		msA = &MultiSource{}
-	}
-	if msB == nil {
-		msB = &MultiSource{}
-	}
-	msA.reset(g, sources)
-	msB.reset(g, sources)
-	m := len(c.dstID)
-	msA.weights = ensureWEdges(msA.weights, m)
-	msB.weights = ensureWEdges(msB.weights, m)
-	wA, wB := msA.weights, msB.weights
-	n := len(c.rowStart) - 1
-	for u := 0; u < n; u++ {
-		for i := c.rowStart[u]; i < c.rowStart[u+1]; i++ {
-			e := Edge{
-				From:      u,
-				To:        int(c.dstID[i]),
-				Capacity:  c.capacity[i],
-				Distance:  c.distance[i],
-				Bandwidth: c.bandwidth[i],
-			}
-			wA[i] = wEdge{costA(e), c.dstID[i]}
-			wB[i] = wEdge{costB(e), c.dstID[i]}
-		}
-	}
-	msA.runSweeps(c, msB, wB)
-	return msA, msB
 }
 
 // reset points the tables at the new source set, reusing backing arrays.
@@ -116,75 +112,53 @@ func (ms *MultiSource) reset(g *Graph, sources []int) {
 	for i, s := range ms.sources {
 		ms.rank[s] = int32(i)
 	}
-	ms.tree = ensureTreeNodes(ms.tree, len(sources)*n)
+	if cap(ms.rows) >= len(sources) {
+		ms.rows = ms.rows[:len(sources)]
+	} else {
+		ms.rows = make([]msRow, len(sources))
+	}
 }
 
-// runSweeps fans the per-source searches out over the shared worker pool.
-// When other is non-nil, each source also runs the second-metric sweep on
-// the same scratch (the fused refresh). Single-source sweeps run inline
-// so the steady-state path stays allocation-free.
-func (ms *MultiSource) runSweeps(c *csr, other *MultiSource, otherW []wEdge) {
-	s := len(ms.sources)
-	if s == 0 {
+// fill sweeps row r unless it is already current. Concurrent callers for
+// the same row serialize on its lock and the loser finds it stamped.
+func (ms *MultiSource) fill(r int32) {
+	row := &ms.rows[r]
+	row.mu.Lock()
+	defer row.mu.Unlock()
+	if row.stamp.Load() == ms.epoch {
 		return
 	}
-	n := ms.n
-	m := len(c.dstID)
-	if s == 1 {
-		sc := ms.scratchFor(0, n, m)
-		src := ms.sources[0]
-		sc.sweep(c, src, ms.weights, ms.tree[:n])
-		if other != nil {
-			sc.sweep(c, src, otherW, other.tree[:n])
-		}
-		return
-	}
-	w := pool.Shared().Workers()
-	if w > s {
-		w = s
-	}
-	for k := 0; k < w; k++ {
-		ms.scratchFor(k, n, m)
-	}
-	var next atomic.Int64
-	pool.Shared().ForEach(w, func(worker int) {
-		sc := ms.scratch[worker]
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= s {
-				return
-			}
-			src := ms.sources[i]
-			sc.sweep(c, src, ms.weights, ms.tree[i*n:(i+1)*n])
-			if other != nil {
-				sc.sweep(c, src, otherW, other.tree[i*n:(i+1)*n])
-			}
-		}
-	})
+	sc := ms.getScratch()
+	row.tree = ensureTreeNodes(row.tree, ms.n)
+	sc.sweep(ms.c, ms.sources[r], ms.weights, row.tree)
+	ms.putScratch(sc)
+	ms.sweeps.Add(1)
+	row.stamp.Store(ms.epoch)
 }
 
-func (ms *MultiSource) scratchFor(worker, n, m int) *sweepScratch {
-	for len(ms.scratch) <= worker {
-		ms.scratch = append(ms.scratch, &sweepScratch{})
+func (ms *MultiSource) getScratch() *sweepScratch {
+	ms.scratchMu.Lock()
+	var sc *sweepScratch
+	if k := len(ms.scratch); k > 0 {
+		sc = ms.scratch[k-1]
+		ms.scratch = ms.scratch[:k-1]
+	} else {
+		sc = &sweepScratch{}
 	}
-	sc := ms.scratch[worker]
-	sc.ensure(n, m)
+	ms.scratchMu.Unlock()
+	sc.ensure(ms.n, len(ms.c.dstID))
 	return sc
 }
 
-func ensureFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
+func (ms *MultiSource) putScratch(sc *sweepScratch) {
+	ms.scratchMu.Lock()
+	ms.scratch = append(ms.scratch, sc)
+	ms.scratchMu.Unlock()
 }
 
-func ensureInt32s(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
+// Sweeps returns the number of single-source sweeps run over the table's
+// lifetime: one per row per preparation at most, and only for rows read.
+func (ms *MultiSource) Sweeps() int64 { return ms.sweeps.Load() }
 
 func ensureWEdges(s []wEdge, n int) []wEdge {
 	if cap(s) >= n {
@@ -200,8 +174,8 @@ func ensureTreeNodes(s []treeNode, n int) []treeNode {
 	return make([]treeNode, n)
 }
 
-// row returns the shortest-path-tree row for a source node, or nil when
-// the node was not in the source set.
+// row returns the shortest-path-tree row for a source node, sweeping it
+// first if it is stale, or nil when the node was not in the source set.
 func (m *MultiSource) row(src int) []treeNode {
 	if src < 0 || src >= len(m.rank) {
 		return nil
@@ -210,7 +184,11 @@ func (m *MultiSource) row(src int) []treeNode {
 	if r < 0 {
 		return nil
 	}
-	return m.tree[int(r)*m.n : (int(r)+1)*m.n]
+	row := &m.rows[r]
+	if row.stamp.Load() != m.epoch {
+		m.fill(r)
+	}
+	return row.tree
 }
 
 // Dist returns the minimal cost from a source node to any node. It

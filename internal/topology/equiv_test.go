@@ -264,22 +264,54 @@ func TestDijkstraSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestDijkstraPairMatchesSeparateSweeps(t *testing.T) {
+// TestOnDemandRowsMatchReference: rows swept on demand — in random order,
+// by several goroutines at once, after bandwidths changed behind the
+// frozen weights — are bit-identical to the eager seed walker's tables
+// taken when the weights were frozen.
+func TestOnDemandRowsMatchReference(t *testing.T) {
 	ft, err := NewFatTree(FatTreeConfig{Pods: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	racks := ft.Racks()
-	a, b := DijkstraPairInto(ft.Graph, racks, bandwidthCost, DistanceCost, nil, nil)
-	sa := DijkstraFrom(ft.Graph, racks, bandwidthCost)
-	sb := DijkstraFrom(ft.Graph, racks, DistanceCost)
-	for _, s := range racks {
-		for d := 0; d < ft.NumNodes(); d++ {
-			if a.Dist(s, d) != sa.Dist(s, d) || b.Dist(s, d) != sb.Dist(s, d) {
-				t.Fatalf("fused sweep diverges at (%d,%d)", s, d)
+	ls, err := NewLeafSpine(LeafSpineConfig{Leaves: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{ft.Graph, ls.Graph} {
+		rng := rand.New(rand.NewSource(5))
+		racks := g.Racks()
+		var ms *MultiSource
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 20; i++ {
+				es := g.Edges(rng.Intn(g.NumNodes()))
+				e := es[rng.Intn(len(es))]
+				g.SetBandwidth(e.From, e.To, e.Capacity*float64(rng.Intn(4))/3)
 			}
-			if !equalPath(a.Path(s, d), sa.Path(s, d)) || !equalPath(b.Path(s, d), sb.Path(s, d)) {
-				t.Fatalf("fused path diverges at (%d,%d)", s, d)
+			ms = DijkstraOnDemand(g, racks, bandwidthCost, ms)
+			ref := referenceDijkstraFrom(g, racks, bandwidthCost)
+			for _, e := range g.Edges(racks[0]) {
+				g.SetBandwidth(e.From, e.To, 0) // must not leak into the rows
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				order := rng.Perm(len(racks))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, i := range order {
+						s := racks[i]
+						for d := 0; d < g.NumNodes(); d++ {
+							if ms.Dist(s, d) != ref.Dist(s, d) || !equalPath(ms.Path(s, d), ref.Path(s, d)) {
+								t.Errorf("round %d: on-demand row diverges at (%d,%d)", round, s, d)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got := ms.Sweeps(); got != int64((round+1)*len(racks)) {
+				t.Fatalf("round %d: %d sweeps, want one per rack per preparation", round, got)
 			}
 		}
 	}
