@@ -34,6 +34,7 @@ import (
 	"strings"
 	"syscall"
 
+	"sheriff/internal/dcn"
 	"sheriff/internal/ingest"
 	"sheriff/internal/obs"
 	"sheriff/internal/runtime"
@@ -46,6 +47,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sheriffd: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkIngestSlots verifies that a restored ingest snapshot has exactly
+// one triage slot per cluster VM, so a tampered or mismatched snapshot
+// fails at startup, naming the offending VM, instead of at the first
+// offer. (ingest.FromSnapshot already rejects duplicate slots.)
+func checkIngestSlots(snap *ingest.Snapshot, c *dcn.Cluster) error {
+	slotted := make(map[int]bool)
+	for _, ss := range snap.Shards {
+		for _, sl := range ss.Slots {
+			if c.VM(sl.VM) == nil {
+				return fmt.Errorf("ingest slot on rack %d names VM %d, which is not in the cluster", ss.Rack, sl.VM)
+			}
+			slotted[sl.VM] = true
+		}
+	}
+	vms := c.VMs()
+	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
+	for _, vm := range vms {
+		if !slotted[vm.ID] {
+			return fmt.Errorf("cluster VM %d has no ingest slot", vm.ID)
+		}
+	}
+	return nil
 }
 
 // daemonState is the on-disk snapshot: the build configuration (so a
@@ -179,6 +204,9 @@ func run(args []string, out io.Writer) (err error) {
 				return fmt.Errorf("snapshot %s: %w", *snapshot, err)
 			}
 			if svc, err = ingest.FromSnapshot(st.Ingest, inOpts); err != nil {
+				return fmt.Errorf("snapshot %s: %w", *snapshot, err)
+			}
+			if err = checkIngestSlots(st.Ingest, cluster); err != nil {
 				return fmt.Errorf("snapshot %s: %w", *snapshot, err)
 			}
 			startStep = st.Runtime.Step

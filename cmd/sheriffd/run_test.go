@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,6 +106,62 @@ func TestRunSnapshotConfigMismatch(t *testing.T) {
 	err := run([]string{"-size", "4", "-steps", "2", "-seed", "2", "-snapshot", snap}, &out)
 	if err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Fatalf("mismatched resume err = %v", err)
+	}
+}
+
+// TestRunSnapshotIngestSlotMismatch pins the restore-time check of the
+// ingest slots against the restored cluster: a slot naming a VM outside
+// the cluster, or a cluster VM with no slot, fails at startup and names
+// that VM.
+func TestRunSnapshotIngestSlotMismatch(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "daemon.snap")
+	var out bytes.Buffer
+	if err := run([]string{"-size", "4", "-steps", "2", "-snapshot", snap}, &out); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		tamper func(*daemonState) string // returns the wanted error text
+	}{
+		{"foreign slot", func(st *daemonState) string {
+			st.Ingest.Shards[0].Slots[0].VM = 99999
+			return "VM 99999"
+		}},
+		{"missing slot", func(st *daemonState) string {
+			slots := st.Ingest.Shards[0].Slots
+			st.Ingest.Shards[0].Slots = slots[1:]
+			return fmt.Sprintf("cluster VM %d has no ingest slot", slots[0].VM)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var st daemonState
+			if err := json.Unmarshal(blob, &st); err != nil {
+				t.Fatal(err)
+			}
+			want := tc.tamper(&st)
+			bad, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".snap")
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			err = run([]string{"-size", "4", "-steps", "2", "-snapshot", path}, &out)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("tampered resume err = %v, want it to contain %q", err, want)
+			}
+			if strings.Contains(out.String(), "resumed from") {
+				t.Fatalf("tampered snapshot reported a resume:\n%s", out.String())
+			}
+		})
 	}
 }
 

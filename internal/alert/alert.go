@@ -14,7 +14,6 @@ package alert
 import (
 	"fmt"
 
-	"sheriff/internal/timeseries"
 	"sheriff/internal/traces"
 )
 
@@ -135,165 +134,4 @@ func Evaluate(p traces.Profile, th Thresholds) (value float64, fired bool) {
 		return p.Max(), true
 	}
 	return 0, false
-}
-
-// ComponentForecaster predicts one workload-profile component from its
-// history (both ARIMA models and NARNETs satisfy this).
-type ComponentForecaster interface {
-	ForecastFrom(history *timeseries.Series, h int) ([]float64, error)
-}
-
-// ProfilePredictor forecasts a full workload profile one collection
-// period (T seconds) ahead by running one forecaster per component over
-// its own history, as Sec. IV.A prescribes ("respectively process each
-// feature … with prediction models that can best explain it").
-type ProfilePredictor struct {
-	cpu, mem, io, trf     ComponentForecaster
-	hCPU, hMem, hIO, hTRF *timeseries.Series
-}
-
-// NewProfilePredictor builds a predictor from per-component forecasters
-// and their shared-length histories.
-func NewProfilePredictor(cpu, mem, io, trf ComponentForecaster) *ProfilePredictor {
-	return &ProfilePredictor{
-		cpu: cpu, mem: mem, io: io, trf: trf,
-		hCPU: timeseries.New(nil), hMem: timeseries.New(nil),
-		hIO: timeseries.New(nil), hTRF: timeseries.New(nil),
-	}
-}
-
-// Observe appends one measured profile to the component histories.
-func (pp *ProfilePredictor) Observe(p traces.Profile) {
-	pp.hCPU.Append(p.CPU)
-	pp.hMem.Append(p.Mem)
-	pp.hIO.Append(p.IO)
-	pp.hTRF.Append(p.TRF)
-}
-
-// HistoryLen returns the number of observed profiles.
-func (pp *ProfilePredictor) HistoryLen() int { return pp.hCPU.Len() }
-
-// Predict forecasts the profile one step ahead. Components are clamped
-// to [0,1] since the profile is normalized by definition.
-func (pp *ProfilePredictor) Predict() (traces.Profile, error) {
-	get := func(f ComponentForecaster, h *timeseries.Series) (float64, error) {
-		fc, err := f.ForecastFrom(h, 1)
-		if err != nil {
-			return 0, err
-		}
-		v := fc[0]
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		return v, nil
-	}
-	var p traces.Profile
-	var err error
-	if p.CPU, err = get(pp.cpu, pp.hCPU); err != nil {
-		return p, fmt.Errorf("alert: CPU forecast: %w", err)
-	}
-	if p.Mem, err = get(pp.mem, pp.hMem); err != nil {
-		return p, fmt.Errorf("alert: MEM forecast: %w", err)
-	}
-	if p.IO, err = get(pp.io, pp.hIO); err != nil {
-		return p, fmt.Errorf("alert: IO forecast: %w", err)
-	}
-	if p.TRF, err = get(pp.trf, pp.hTRF); err != nil {
-		return p, fmt.Errorf("alert: TRF forecast: %w", err)
-	}
-	return p, nil
-}
-
-// Histories returns copies of the four component histories in profile
-// order [CPU, MEM, IO, TRF] — the state a snapshot must carry to resume
-// prediction without refeeding the whole run.
-func (pp *ProfilePredictor) Histories() [4][]float64 {
-	return [4][]float64{pp.hCPU.Values(), pp.hMem.Values(), pp.hIO.Values(), pp.hTRF.Values()}
-}
-
-// RestoreHistories replaces the component histories, in the same order
-// Histories returns them. All four must have equal length.
-func (pp *ProfilePredictor) RestoreHistories(h [4][]float64) error {
-	n := len(h[0])
-	for _, c := range h[1:] {
-		if len(c) != n {
-			return fmt.Errorf("alert: restore: component history lengths differ (%d vs %d)", len(c), n)
-		}
-	}
-	pp.hCPU = timeseries.New(h[0])
-	pp.hMem = timeseries.New(h[1])
-	pp.hIO = timeseries.New(h[2])
-	pp.hTRF = timeseries.New(h[3])
-	return nil
-}
-
-// Check predicts one step ahead and applies the ALERT rule, returning the
-// alert (zero Value when not fired).
-func (pp *ProfilePredictor) Check(th Thresholds) (Alert, bool, error) {
-	p, err := pp.Predict()
-	if err != nil {
-		return Alert{}, false, err
-	}
-	v, fired := Evaluate(p, th)
-	return Alert{Kind: FromServer, Value: v}, fired, nil
-}
-
-// QueueMonitor watches a ToR switch queue length (Sec. IV.A: "each v_i
-// also monitors the queue length of the associated ToR switch") and fires
-// a FromLocalToR alert when the predicted queue occupancy crosses the
-// threshold fraction of the queue limit.
-type QueueMonitor struct {
-	history   *timeseries.Series
-	forecast  ComponentForecaster
-	limit     float64
-	threshold float64 // fraction of limit
-}
-
-// NewQueueMonitor builds a queue monitor. threshold is a fraction in
-// (0,1]; limit is the queue capacity in the same units as observations.
-func NewQueueMonitor(f ComponentForecaster, limit, threshold float64) (*QueueMonitor, error) {
-	if limit <= 0 {
-		return nil, fmt.Errorf("alert: queue limit must be > 0, got %v", limit)
-	}
-	if threshold <= 0 || threshold > 1 {
-		return nil, fmt.Errorf("alert: queue threshold must be in (0,1], got %v", threshold)
-	}
-	return &QueueMonitor{
-		history:   timeseries.New(nil),
-		forecast:  f,
-		limit:     limit,
-		threshold: threshold,
-	}, nil
-}
-
-// Observe appends one queue-length sample.
-func (q *QueueMonitor) Observe(length float64) { q.history.Append(length) }
-
-// History returns a copy of the observed queue-length samples.
-func (q *QueueMonitor) History() []float64 { return q.history.Values() }
-
-// RestoreHistory replaces the observed queue-length samples.
-func (q *QueueMonitor) RestoreHistory(h []float64) { q.history = timeseries.New(h) }
-
-// Check predicts the next queue length and fires when it exceeds
-// threshold×limit. The alert Value is predicted occupancy in [0,1].
-func (q *QueueMonitor) Check() (Alert, bool, error) {
-	fc, err := q.forecast.ForecastFrom(q.history, 1)
-	if err != nil {
-		return Alert{}, false, fmt.Errorf("alert: queue forecast: %w", err)
-	}
-	occ := fc[0] / q.limit
-	if occ < 0 {
-		occ = 0
-	}
-	if occ > 1 {
-		occ = 1
-	}
-	if occ > q.threshold {
-		return Alert{Kind: FromLocalToR, Value: occ}, true, nil
-	}
-	return Alert{}, false, nil
 }

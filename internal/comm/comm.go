@@ -7,7 +7,6 @@
 package comm
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -343,6 +342,3 @@ func (b *Bus) Nodes() []int {
 	sort.Ints(out)
 	return out
 }
-
-// ErrTimeout reports a request that never received a reply.
-var ErrTimeout = errors.New("comm: request timed out")

@@ -21,6 +21,19 @@ func buildBenchRuntime(b *testing.B, pods int) *Runtime {
 
 func buildBenchRuntimeOpts(b *testing.B, pods int, opts Options) *Runtime {
 	b.Helper()
+	cluster, model, opts := buildBenchParts(b, pods, opts)
+	r, err := New(cluster, model, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(r.Close)
+	return r
+}
+
+// buildBenchParts builds the benchmark fabric and completes opts with the
+// benchmark's seed and alert-free thresholds.
+func buildBenchParts(b *testing.B, pods int, opts Options) (*dcn.Cluster, *cost.Model, Options) {
+	b.Helper()
 	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: pods})
 	if err != nil {
 		b.Fatal(err)
@@ -36,12 +49,7 @@ func buildBenchRuntimeOpts(b *testing.B, pods int, opts Options) *Runtime {
 	}
 	opts.Seed = 42
 	opts.Thresholds.CPU, opts.Thresholds.Mem, opts.Thresholds.IO, opts.Thresholds.TRF = 2, 2, 2, 2
-	r, err := New(cluster, model, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(r.Close)
-	return r
+	return cluster, model, opts
 }
 
 // BenchmarkRuntimeStep measures one collection period T on a 48-pod
@@ -67,10 +75,14 @@ func BenchmarkRuntimeStep(b *testing.B) {
 }
 
 // BenchmarkRuntimeStepReference is BenchmarkRuntimeStep on the seed
-// reference engine — the "before" side of the sharded-engine speedup and
-// allocation comparison (BENCH_scale.json).
+// reference engine (newReference) — the "before" side of the
+// sharded-engine speedup and allocation comparison (BENCH_scale.json).
 func BenchmarkRuntimeStepReference(b *testing.B) {
-	r := buildBenchRuntimeOpts(b, 48, Options{Reference: true})
+	cluster, model, opts := buildBenchParts(b, 48, Options{})
+	r, err := newReference(cluster, model, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < 15; i++ {
 		if _, err := r.Step(); err != nil {
 			b.Fatal(err)

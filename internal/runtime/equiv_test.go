@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"testing"
 
+	"sheriff/internal/alert"
+	"sheriff/internal/cost"
 	"sheriff/internal/dcn"
+	"sheriff/internal/topology"
 	"sheriff/internal/traces"
 )
 
@@ -15,6 +18,25 @@ type equivScenario struct {
 	steps    int
 	external bool // drive via StepExternal instead of Step
 	mutate   func(*Options)
+	// build assembles the populated cluster and cost model (nil = the
+	// 4-pod Fat-Tree of buildEquivParts).
+	build func(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model)
+}
+
+// options applies the scenario's option mutation to o.
+func (sc equivScenario) options(o Options) Options {
+	if sc.mutate != nil {
+		sc.mutate(&o)
+	}
+	return o
+}
+
+// parts builds the scenario's cluster and cost model for seed.
+func (sc equivScenario) parts(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
+	if sc.build != nil {
+		return sc.build(t, seed)
+	}
+	return buildEquivParts(t, seed)
 }
 
 func equivScenarios() []equivScenario {
@@ -44,7 +66,34 @@ func equivScenarios() []equivScenario {
 			o.Traces = traces.Options{Kind: traces.SurgeLite,
 				Surge: traces.SurgeParams{MeanDwell: 4, BurstWeight: 1, RackFraction: 0.5}}
 		}},
+		// The scale harness's smoke shape (sim.RunScale): a 50-leaf
+		// leaf-spine, 1 host × 2 VMs per rack, sparse dependencies, and a
+		// 0.5 threshold that keeps server alerts and migrations flowing.
+		{name: "leaf-spine", steps: 8, build: buildLeafSpineParts, mutate: func(o *Options) {
+			o.Thresholds = alert.Thresholds{CPU: 0.5, Mem: 0.5, IO: 0.5, TRF: 0.5}
+		}},
 	}
+}
+
+// buildLeafSpineParts mirrors sim.RunScale's construction for 50 racks,
+// 1 host per rack, 2 VMs per host, and dependency probability 0.1.
+func buildLeafSpineParts(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
+	t.Helper()
+	ls, err := topology.NewLeafSpine(topology.LeafSpineConfig{Leaves: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := dcn.NewCluster(ls.Graph, dcn.Config{HostsPerRack: 1, HostCapacity: 100, ToRCapacity: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 2, MinCapacity: 5, MaxCapacity: 20,
+		DependencyProb: 0.1, CrossRackDependencyProb: 0.1, Seed: seed})
+	model, err := cost.New(cluster, cost.PaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster, model
 }
 
 // externalProfile is a deterministic pseudo-measurement for the external
@@ -57,10 +106,18 @@ func externalProfile(step, vmID int) traces.Profile {
 	return traces.Profile{CPU: f(0), Mem: f(1), IO: f(2), TRF: f(3)}
 }
 
-func buildEquivRuntime(t *testing.T, seed int64, opts Options) *Runtime {
+// buildEquivParts populates the 4-pod Fat-Tree with dense, mostly
+// cross-rack dependencies.
+func buildEquivParts(t *testing.T, seed int64) (*dcn.Cluster, *cost.Model) {
 	t.Helper()
 	cluster, model := buildParts(t, 4)
 	cluster.Populate(dcn.PopulateOptions{VMsPerHost: 3, MinCapacity: 5, MaxCapacity: 20, DependencyProb: 0.5, CrossRackDependencyProb: 0.4, Seed: seed})
+	return cluster, model
+}
+
+func buildEquivRuntime(t *testing.T, seed int64, opts Options) *Runtime {
+	t.Helper()
+	cluster, model := buildEquivParts(t, seed)
 	opts.Seed = seed
 	r, err := New(cluster, model, opts)
 	if err != nil {
@@ -70,13 +127,47 @@ func buildEquivRuntime(t *testing.T, seed int64, opts Options) *Runtime {
 	return r
 }
 
-func driveEquiv(t *testing.T, r *Runtime, sc equivScenario) []StepStats {
+// engine is the step surface shared by Runtime and the seed oracle.
+type engine interface {
+	Step() (*StepStats, error)
+	StepExternal([]ExternalUpdate) (*StepStats, error)
+	History() []StepStats
+	Snapshot() (*Snapshot, error)
+	Close()
+	base() *Runtime
+}
+
+// base returns the shared runtime state (refRuntime inherits it).
+func (r *Runtime) base() *Runtime { return r }
+
+// buildEquivEngine builds the scenario's fabric for seed and assembles
+// either the seed oracle (shards < 0) or the sharded engine over it.
+func buildEquivEngine(t *testing.T, sc equivScenario, seed int64, shards int) engine {
+	t.Helper()
+	cluster, model := sc.parts(t, seed)
+	opts := sc.options(Options{Seed: seed, Shards: shards})
+	var e engine
+	var err error
+	if shards < 0 {
+		opts.Shards = 0
+		e, err = newReference(cluster, model, opts)
+	} else {
+		e, err = New(cluster, model, opts)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e
+}
+
+func driveEquiv(t *testing.T, r engine, sc equivScenario) []StepStats {
 	t.Helper()
 	for step := 0; step < sc.steps; step++ {
 		var err error
 		if sc.external {
 			var updates []ExternalUpdate
-			for _, vm := range r.Cluster.VMs() {
+			for _, vm := range r.base().Cluster.VMs() {
 				// Every third VM is silent each step, exercising the
 				// repeat-last-profile path.
 				if (vm.ID+step)%3 == 0 {
@@ -97,20 +188,17 @@ func driveEquiv(t *testing.T, r *Runtime, sc equivScenario) []StepStats {
 
 // TestShardedMatchesReference is the engine-equivalence contract: for
 // every scenario and shard count, the sharded engine's StepStats, final
-// placement, and snapshot are bit-identical to the reference engine's.
+// placement, and snapshot are bit-identical to the seed oracle's
+// (newReference, reference_test.go).
 func TestShardedMatchesReference(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			refOpts := Options{Reference: true}
-			if sc.mutate != nil {
-				sc.mutate(&refOpts)
-			}
-			ref := buildEquivRuntime(t, 11, refOpts)
+			ref := buildEquivEngine(t, sc, 11, -1)
 			refHist := driveEquiv(t, ref, sc)
 
 			var refSnap []byte
-			if !refOpts.UseQCN {
+			if !sc.options(Options{}).UseQCN {
 				snap, err := ref.Snapshot()
 				if err != nil {
 					t.Fatal(err)
@@ -122,11 +210,7 @@ func TestShardedMatchesReference(t *testing.T) {
 			}
 
 			for _, shards := range []int{1, 2, 5} {
-				shOpts := Options{Shards: shards}
-				if sc.mutate != nil {
-					sc.mutate(&shOpts)
-				}
-				sh := buildEquivRuntime(t, 11, shOpts)
+				sh := buildEquivEngine(t, sc, 11, shards)
 				shHist := driveEquiv(t, sh, sc)
 				if len(shHist) != len(refHist) {
 					t.Fatalf("shards=%d: %d steps, reference has %d", shards, len(shHist), len(refHist))

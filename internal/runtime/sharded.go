@@ -1,4 +1,4 @@
-// The sharded step engine: the default since the hyperscale rework.
+// The sharded step engine.
 //
 // VM state lives in flat struct-of-arrays slices ordered rack-major
 // (ascending rack index, ascending VM ID within a rack), partitioned into
@@ -6,10 +6,11 @@
 // Each phase is one batched round: the coordinator wakes every shard, the
 // shards work only on the ranges they own, and the coordinator folds the
 // per-shard results in shard order — which, because shards are contiguous
-// in the global rack-major order, reproduces the reference engine's
-// deterministic global fold exactly. Per-VM predictor state is the Holt
-// (level, trend) pair per component — bit-exact with re-smoothing the full
-// history (see TestTrendStateMatchesEwmaTrend) at 1/500th the memory.
+// in the global rack-major order, reproduces the seed engine's
+// deterministic global fold exactly (the oracle in reference_test.go).
+// Per-VM predictor state is the Holt (level, trend) pair per component —
+// bit-exact with re-smoothing the full history (see
+// TestTrendStateMatchesEwmaTrend) at 1/500th the memory.
 package runtime
 
 import (
@@ -31,13 +32,19 @@ import (
 // queueThreshold is the ToR queue-occupancy alert fraction (of QueueLimit).
 const queueThreshold = 0.9
 
+// ewmaTrend carries Holt's linear-method coefficients (exponentially
+// weighted level plus trend), adequate for per-step pre-alerts where
+// fitting a full ARIMA per VM per tick would be wasteful.
+type ewmaTrend struct {
+	alpha, beta float64
+}
+
 // holtCoeff carries the Holt smoothing coefficients shared by every
-// predictor in the system. Both engines route the recursion through the
-// same fold method so the arithmetic is expression-identical.
+// predictor in the system. The seed oracle routes its recursion through
+// the same fold method so the arithmetic is expression-identical.
 var holtCoeff = ewmaTrend{alpha: 0.5, beta: 0.3}
 
-// fold advances one Holt (level, trend) state by one observation, the
-// exact recursion of ewmaTrend.ForecastFrom.
+// fold advances one Holt (level, trend) state by one observation.
 func (e ewmaTrend) fold(level, trend, x float64) (float64, float64) {
 	prev := level
 	level = e.alpha*x + (1-e.alpha)*(level+trend)
@@ -306,10 +313,11 @@ func (r *Runtime) predictShard(s int) {
 	sh.dur[s] = time.Since(start)
 }
 
-// deepShard advances the deep forecasting pools of the shard's racks; the
-// semantics mirror deepStepRef exactly (same aggregation order, same fit
-// trigger, same seeds), but the obs events are deferred to the coordinator
-// so the trace stays in rack order.
+// deepShard advances the deep forecasting pools of the shard's racks: each
+// rack's aggregate stress (mean of its VMs' current profile maxima) either
+// extends the pre-fit history, triggers the one-time seeded pool fit, or
+// feeds the fitted selector. The predictions are recorded and counted by
+// the coordinator, so the trace stays in rack order.
 func (r *Runtime) deepShard(s int) {
 	sh := r.sh
 	for rk := sh.rackLo[s]; rk < sh.rackHi[s]; rk++ {

@@ -37,8 +37,9 @@ type VMSnap struct {
 // Snapshot is the serializable state of a Runtime: everything needed so
 // that a restored runtime's subsequent StepStats are bit-identical
 // (timings aside) to the original continuing. Step history is reporting
-// state, not simulation state, and is not carried. Both engines emit the
-// same snapshot for the same trajectory (VMs in ascending ID order).
+// state, not simulation state, and is not carried. VMs are listed in
+// ascending ID order, so any shard count emits the same snapshot for the
+// same trajectory.
 type Snapshot struct {
 	Version    int               `json:"version"`
 	Step       int               `json:"step"`
@@ -56,24 +57,42 @@ type Snapshot struct {
 	DeepHist   [][]float64       `json:"deep_hist,omitempty"` // per-rack pre-fit history
 }
 
-// foldHolt cold-smooths a full history into its Holt state — how the
-// reference engine (which keeps histories, not states) emits version-2
-// snapshots. Bit-exact with the sharded engine's incremental fold.
-func foldHolt(h []float64) [2]float64 {
-	if len(h) == 0 {
-		return [2]float64{}
-	}
-	level, trend := h[0], 0.0
-	for t := 1; t < len(h); t++ {
-		level, trend = holtCoeff.fold(level, trend, h[t])
-	}
-	return [2]float64{level, trend}
-}
-
 // Snapshot captures the runtime's full resumable state. It fails under
 // UseQCN (congestion-point dynamics are not serialized) and when a fitted
 // deep pool contains an unserializable candidate.
 func (r *Runtime) Snapshot() (*Snapshot, error) {
+	snap, err := r.snapshotBase()
+	if err != nil {
+		return nil, err
+	}
+	sh := r.sh
+	order := make([]int, len(sh.vms))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return sh.vms[order[a]].ID < sh.vms[order[b]].ID })
+	for _, i := range order {
+		pos := 0
+		if sh.lite != nil {
+			pos = sh.lite[i].Pos()
+		} else {
+			pos = sh.srcs[i].Pos()
+		}
+		vs := VMSnap{ID: sh.vms[i].ID, GenPos: pos, Current: sh.cur[i], Hist: int(sh.nObs[i])}
+		for c := 0; c < 4; c++ {
+			vs.Trend[c] = [2]float64{sh.pred[i][c].level, sh.pred[i][c].trend}
+		}
+		snap.VMs = append(snap.VMs, vs)
+	}
+	for rk := range sh.qHolt {
+		snap.Queues = append(snap.Queues, [3]float64{sh.qHolt[rk].level, sh.qHolt[rk].trend, float64(sh.qN[rk])})
+	}
+	return snap, nil
+}
+
+// snapshotBase captures the engine-independent state: everything in a
+// Snapshot except the per-VM forecasting states and queue monitors.
+func (r *Runtime) snapshotBase() (*Snapshot, error) {
 	if r.opts.UseQCN {
 		return nil, fmt.Errorf("runtime: snapshot under UseQCN is not supported (congestion-point state is not serialized)")
 	}
@@ -88,44 +107,6 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 		Cluster:    r.Cluster.Snapshot(),
 		Flows:      r.Flows.Snapshot(),
 		ModelStale: r.modelStale,
-	}
-	if r.ref != nil {
-		for _, st := range r.ref.vms {
-			h := st.pred.Histories()
-			vs := VMSnap{ID: st.vm.ID, GenPos: st.gen.Pos(), Current: st.current, Hist: len(h[0])}
-			for c := 0; c < 4; c++ {
-				vs.Trend[c] = foldHolt(h[c])
-			}
-			snap.VMs = append(snap.VMs, vs)
-		}
-		for _, qm := range r.ref.queueMon {
-			h := qm.History()
-			lt := foldHolt(h)
-			snap.Queues = append(snap.Queues, [3]float64{lt[0], lt[1], float64(len(h))})
-		}
-	} else {
-		sh := r.sh
-		order := make([]int, len(sh.vms))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return sh.vms[order[a]].ID < sh.vms[order[b]].ID })
-		for _, i := range order {
-			pos := 0
-			if sh.lite != nil {
-				pos = sh.lite[i].Pos()
-			} else {
-				pos = sh.srcs[i].Pos()
-			}
-			vs := VMSnap{ID: sh.vms[i].ID, GenPos: pos, Current: sh.cur[i], Hist: int(sh.nObs[i])}
-			for c := 0; c < 4; c++ {
-				vs.Trend[c] = [2]float64{sh.pred[i][c].level, sh.pred[i][c].trend}
-			}
-			snap.VMs = append(snap.VMs, vs)
-		}
-		for rk := range sh.qHolt {
-			snap.Queues = append(snap.Queues, [3]float64{sh.qHolt[rk].level, sh.qHolt[rk].trend, float64(sh.qN[rk])})
-		}
 	}
 	for pair, id := range r.flowByPair {
 		snap.FlowPairs = append(snap.FlowPairs, [3]int{pair[0], pair[1], id})
@@ -173,9 +154,8 @@ func less3(a, b [3]int) bool {
 // opts must describe the same regime as the original run — in particular
 // Seed is taken from the snapshot (the generators replay from it),
 // Traces must match the snapshot's regime, and UseQCN must be off.
-// The restored runtime always uses the sharded engine; the shard count
-// may differ from the run that produced the snapshot (the state is
-// global, so the partition is free to change). A restored runtime
+// The shard count may differ from the run that produced the snapshot (the
+// state is global, so the partition is free to change). A restored runtime
 // resumes forecasting incrementally: per-VM Holt states, queue monitors,
 // flow routes, and any fitted deep pools continue bit-exactly without
 // cold-fitting.
@@ -188,9 +168,6 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 	}
 	if opts.UseQCN {
 		return nil, fmt.Errorf("runtime: restore under UseQCN is not supported")
-	}
-	if opts.Reference {
-		return nil, fmt.Errorf("runtime: restore into the reference engine is not supported")
 	}
 	if snap.Traces != nil {
 		// Modern snapshot: the resolved trace options travel whole — adopt

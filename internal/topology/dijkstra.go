@@ -7,6 +7,14 @@ import (
 	"sheriff/internal/pool"
 )
 
+// EdgeCost maps a link to a scalar cost for shortest-path purposes. The
+// migration transform of Sec. V.A.2 uses the per-edge transmission cost
+// δ·T(e) + η·P(e); plain distance D(e) is another common choice.
+type EdgeCost func(Edge) float64
+
+// DistanceCost returns D(e), the physical distance.
+func DistanceCost(e Edge) float64 { return e.Distance }
+
 // MultiSource holds shortest paths from a designated set of source nodes
 // to every node, computed by Dijkstra per source over the graph's CSR
 // view. For the migration cost model only rack-to-rack paths matter, so

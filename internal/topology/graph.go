@@ -198,16 +198,6 @@ func (g *Graph) Switches() []int {
 	return out
 }
 
-// Neighbors returns the IDs adjacent to a node.
-func (g *Graph) Neighbors(id int) []int {
-	es := g.adj[id]
-	out := make([]int, len(es))
-	for i, e := range es {
-		out[i] = e.To
-	}
-	return out
-}
-
 // RackNeighbors returns the rack nodes reachable from rack id through at
 // most maxSwitchHops interior switches (one-hop wired neighbors for
 // maxSwitchHops = 1, the paper's "dominating one hop wired neighbors").
