@@ -272,3 +272,40 @@ func TestRefreshPicksUpBandwidthChanges(t *testing.T) {
 		t.Fatalf("cost should rise after bandwidth halves: %v -> %v", before, after)
 	}
 }
+
+// TestDependencyCostDeterministic: with non-integer link distances the
+// dependency-cost sum depends on the order it visits peer racks, so that
+// order must not come from map iteration. One VM with peers in 20 racks of
+// a k=8 Fat-Tree must price the same move identically on every call.
+func TestDependencyCostDeterministic(t *testing.T) {
+	ft, err := topology.NewFatTree(topology.FatTreeConfig{Pods: 8, EdgeDistance: 0.1, CoreDistance: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dcn.NewCluster(ft.Graph, dcn.Config{HostsPerRack: 2, HostCapacity: 100, ToRCapacity: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := c.AddVM(c.Racks[0].Hosts[0], 5, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rk := 1; rk <= 20; rk++ {
+		peer, err := c.AddVM(c.Racks[rk].Hosts[0], 5, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Deps.AddDependency(vm.ID, peer.ID)
+	}
+	m := testModel(t, c)
+	m.Refresh()
+	// Racks 0–3 form pod 0 and racks 4–7 pod 1: the move's per-peer
+	// terms are ±1.4, −1.6 and 0, which float addition sums order-dependently.
+	src, dst := c.Racks[0], c.Racks[4]
+	want := m.DependencyCost(vm, src, dst)
+	for i := 0; i < 200; i++ {
+		if got := m.DependencyCost(vm, src, dst); got != want {
+			t.Fatalf("call %d: dependency cost %v, first call %v", i, got, want)
+		}
+	}
+}

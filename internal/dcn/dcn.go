@@ -6,10 +6,12 @@
 package dcn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"sheriff/internal/topology"
@@ -39,32 +41,45 @@ type Host struct {
 	Index    int // j: position within the rack
 	Capacity float64
 	rack     *Rack
-	vms      map[int]*VM
+	vms      []*VM // resident VMs, ascending ID
 }
 
 // Rack returns the rack containing the host.
 func (h *Host) Rack() *Rack { return h.rack }
 
-// VMs returns the VMs on the host, ordered by VM ID so every consumer —
-// knapsack selection, summation, iteration — is deterministic.
-func (h *Host) VMs() []*VM {
-	out := make([]*VM, 0, len(h.vms))
-	for _, v := range h.vms {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// VMs returns a copy of the VMs on the host, ordered by VM ID so every
+// consumer — knapsack selection, summation, iteration — is deterministic.
+func (h *Host) VMs() []*VM { return append([]*VM(nil), h.vms...) }
 
 // Used returns the total capacity consumed by resident VMs. Summation
 // follows VM-ID order for bit-level reproducibility.
 func (h *Host) Used() float64 {
 	sum := 0.0
-	for _, v := range h.VMs() {
+	for _, v := range h.vms {
 		sum += v.Capacity
 	}
 	return sum
 }
+
+// settle makes vm resident, keeping the ID order; a resident with the
+// same ID is replaced.
+func (h *Host) settle(vm *VM) {
+	i, found := slices.BinarySearchFunc(h.vms, vm.ID, byID)
+	if found {
+		h.vms[i] = vm
+		return
+	}
+	h.vms = slices.Insert(h.vms, i, vm)
+}
+
+// release drops the resident with the VM's ID, if any.
+func (h *Host) release(vm *VM) {
+	if i, found := slices.BinarySearchFunc(h.vms, vm.ID, byID); found {
+		h.vms = slices.Delete(h.vms, i, i+1)
+	}
+}
+
+func byID(v *VM, id int) int { return cmp.Compare(v.ID, id) }
 
 // Free returns the remaining capacity.
 func (h *Host) Free() float64 { return h.Capacity - h.Used() }
@@ -94,7 +109,7 @@ type Rack struct {
 func (r *Rack) VMs() []*VM {
 	var out []*VM
 	for _, h := range r.Hosts {
-		out = append(out, h.VMs()...)
+		out = append(out, h.vms...)
 	}
 	return out
 }
@@ -171,7 +186,6 @@ func NewCluster(g *topology.Graph, cfg Config) (*Cluster, error) {
 				Index:    j,
 				Capacity: cfg.HostCapacity,
 				rack:     r,
-				vms:      make(map[int]*VM),
 			}
 			r.Hosts = append(r.Hosts, h)
 			c.hosts = append(c.hosts, h)
@@ -253,7 +267,7 @@ func (c *Cluster) place(vm *VM, h *Host) error {
 			return fmt.Errorf("%w: vm %d conflicts with resident vm %d on host %d", ErrDependencyConflict, vm.ID, resident.ID, h.ID)
 		}
 	}
-	h.vms[vm.ID] = vm
+	h.settle(vm)
 	vm.host = h
 	return nil
 }
@@ -266,11 +280,11 @@ func (c *Cluster) Move(vm *VM, dst *Host) error {
 	}
 	src := vm.host
 	if src != nil {
-		delete(src.vms, vm.ID)
+		src.release(vm)
 	}
 	if err := c.place(vm, dst); err != nil {
 		if src != nil {
-			src.vms[vm.ID] = vm // restore
+			src.settle(vm) // restore
 			vm.host = src
 		}
 		return err
@@ -300,9 +314,9 @@ func (c *Cluster) MoveOversub(vm *VM, dst *Host, factor float64) error {
 		}
 	}
 	if vm.host != nil {
-		delete(vm.host.vms, vm.ID)
+		vm.host.release(vm)
 	}
-	dst.vms[vm.ID] = vm
+	dst.settle(vm)
 	vm.host = dst
 	return nil
 }
@@ -314,7 +328,7 @@ func (c *Cluster) MoveOversub(vm *VM, dst *Host, factor float64) error {
 // placement through the migration retry queue.
 func (c *Cluster) Evict(vm *VM) {
 	if vm.host != nil {
-		delete(vm.host.vms, vm.ID)
+		vm.host.release(vm)
 		vm.host = nil
 	}
 }
@@ -322,7 +336,7 @@ func (c *Cluster) Evict(vm *VM) {
 // Remove deletes a VM from the cluster.
 func (c *Cluster) Remove(vm *VM) {
 	if vm.host != nil {
-		delete(vm.host.vms, vm.ID)
+		vm.host.release(vm)
 		vm.host = nil
 	}
 	delete(c.vms, vm.ID)

@@ -307,12 +307,55 @@ func TestPeerRacks(t *testing.T) {
 	if len(racks) != 2 {
 		t.Fatalf("PeerRacks = %v, want 2 distinct racks", racks)
 	}
-	got := map[int]bool{}
-	for _, r := range racks {
-		got[r] = true
+	if racks[0] != 1 || racks[1] != 2 {
+		t.Fatalf("PeerRacks = %v, want [1 2] (ascending peer order)", racks)
 	}
-	if !got[1] || !got[2] {
-		t.Fatalf("PeerRacks = %v, want {1, 2}", racks)
+	if p := c.Deps.Peers(a.ID); len(p) != 3 || p[0] != b.ID || p[1] != e.ID || p[2] != f.ID {
+		t.Fatalf("Peers = %v, want ascending [%d %d %d]", p, b.ID, e.ID, f.ID)
+	}
+}
+
+// TestHostResidencyOrdered: a host's residents stay in ascending ID order
+// through adds, moves, evictions and removals, and VMs returns a copy.
+func TestHostResidencyOrdered(t *testing.T) {
+	c := testCluster(t, 4)
+	h0, h1 := c.Racks[0].Hosts[0], c.Racks[0].Hosts[1]
+	var vms []*VM
+	for i := 0; i < 6; i++ {
+		vm, err := c.AddVM(h1, 1, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	for _, i := range []int{4, 1, 5, 0} {
+		if err := c.Move(vms[i], h0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Evict(vms[5])
+	c.Remove(vms[1])
+	if err := c.Move(vms[5], h0); err != nil {
+		t.Fatal(err)
+	}
+	want := map[*Host][]int{h0: {vms[0].ID, vms[4].ID, vms[5].ID}, h1: {vms[2].ID, vms[3].ID}}
+	for h, ids := range want {
+		got := h.VMs()
+		if len(got) != len(ids) {
+			t.Fatalf("host %d has %d VMs, want %v", h.ID, len(got), ids)
+		}
+		for i, vm := range got {
+			if vm.ID != ids[i] {
+				t.Fatalf("host %d VMs = %v, want IDs %v", h.ID, got, ids)
+			}
+		}
+		if h.Used() != float64(len(ids)) {
+			t.Fatalf("host %d Used = %v, want %d", h.ID, h.Used(), len(ids))
+		}
+		got[0] = nil
+		if h.VMs()[0] == nil {
+			t.Fatal("VMs returned the host's own storage")
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"sheriff/internal/topology"
 )
 
-// checkLoadConsistency recomputes the load map from every flow's current
+// checkLoadConsistency recomputes the link loads from every flow's current
 // path and compares it with the network's incremental accounting — the
 // invariant the cached-sweep reroute must preserve.
 func checkLoadConsistency(t *testing.T, n *Network) {
@@ -20,13 +20,13 @@ func checkLoadConsistency(t *testing.T, n *Network) {
 		}
 	}
 	for k, v := range want {
-		if got := n.load[k]; math.Abs(got-v) > 1e-9 {
+		if got := n.LinkLoad(k[0], k[1]); math.Abs(got-v) > 1e-9 {
 			t.Fatalf("load on %v = %v, want %v", k, got, v)
 		}
 	}
-	for k, v := range n.load {
-		if _, ok := want[k]; !ok && v > 1e-9 {
-			t.Fatalf("phantom load %v on %v", v, k)
+	for _, ll := range n.Snapshot().Loads {
+		if _, ok := want[[2]int{ll.A, ll.B}]; !ok && ll.Load > 1e-9 {
+			t.Fatalf("phantom load %v on %d→%d", ll.Load, ll.A, ll.B)
 		}
 	}
 }

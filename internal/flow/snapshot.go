@@ -18,7 +18,8 @@ type FlowSnap struct {
 	Path           []int   `json:"path,omitempty"`
 }
 
-// LinkLoad is one directed link's exact offered load. Loads are in
+// LinkLoad is one directed link's exact offered load, keyed by its
+// endpoints (parallel links share one entry). Loads are in
 // principle derivable from the flow paths, but the live network updates
 // them incrementally (SetRate adds and subtracts rates in place), so the
 // accumulated floating-point state differs from a fresh recompute by
@@ -37,8 +38,10 @@ type Snapshot struct {
 	NextID int        `json:"next_id"`
 }
 
-// Snapshot returns a deep copy of the flow table, ordered by flow ID.
+// Snapshot returns a deep copy of the flow table, ordered by flow ID, and
+// the non-zero link loads ordered by (A, B).
 func (n *Network) Snapshot() *Snapshot {
+	n.sync()
 	snap := &Snapshot{Flows: make([]FlowSnap, 0, len(n.flows)), NextID: n.nextID}
 	for _, f := range n.flows {
 		snap.Flows = append(snap.Flows, FlowSnap{
@@ -51,8 +54,11 @@ func (n *Network) Snapshot() *Snapshot {
 		})
 	}
 	sort.Slice(snap.Flows, func(i, j int) bool { return snap.Flows[i].ID < snap.Flows[j].ID })
-	for key, load := range n.load {
-		snap.Loads = append(snap.Loads, LinkLoad{A: key[0], B: key[1], Load: load})
+	for id, load := range n.load {
+		if load != 0 {
+			e := n.g.EdgeByID(id)
+			snap.Loads = append(snap.Loads, LinkLoad{A: e.From, B: e.To, Load: load})
+		}
 	}
 	sort.Slice(snap.Loads, func(i, j int) bool {
 		if snap.Loads[i].A != snap.Loads[j].A {
@@ -66,9 +72,11 @@ func (n *Network) Snapshot() *Snapshot {
 // Restore rebuilds the flow table from a snapshot. The network must be
 // empty (freshly constructed over the same topology graph); every path
 // must be a walk over existing links with the flow's endpoints at its
-// ends. When the snapshot carries link loads they are installed verbatim
-// (preserving the live network's accumulated floating-point state);
-// otherwise loads are recomputed from the restored paths.
+// ends, and every rate positive. When the snapshot carries link loads they
+// are installed verbatim (preserving the live network's accumulated
+// floating-point state); they must be positive and cover exactly the
+// links the flow paths cross. Otherwise loads are recomputed from the
+// restored paths.
 func (n *Network) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("flow: restore from nil snapshot")
@@ -85,31 +93,50 @@ func (n *Network) Restore(snap *Snapshot) error {
 		if fs.ID >= snap.NextID {
 			return fmt.Errorf("flow: snapshot flow id %d not below next_id %d", fs.ID, snap.NextID)
 		}
+		if !(fs.Rate > 0) {
+			return fmt.Errorf("flow: snapshot flow %d has non-positive rate %v", fs.ID, fs.Rate)
+		}
 		if err := n.validatePath(fs); err != nil {
 			return err
 		}
 	}
+	n.sync()
+	covered := make([]bool, len(n.load))
+	links := 0
 	for _, fs := range snap.Flows {
 		f := &Flow{ID: fs.ID, Src: fs.Src, Dst: fs.Dst, Rate: fs.Rate, DelaySensitive: fs.DelaySensitive}
 		if len(fs.Path) > 0 {
-			n.applyPath(f, append([]int(nil), fs.Path...))
+			path := append([]int(nil), fs.Path...)
+			n.applyPath(f, path)
+			for _, h := range f.hops {
+				if !covered[h] {
+					covered[h] = true
+					links++
+				}
+			}
 		}
 		n.flows[f.ID] = f
 	}
 	if len(snap.Loads) > 0 {
-		load := make(map[[2]int]float64, len(snap.Loads))
+		load := make([]float64, len(n.load))
 		for _, ll := range snap.Loads {
-			key := [2]int{ll.A, ll.B}
-			if _, dup := load[key]; dup {
+			id := int32(-1)
+			if e, ok := n.g.EdgeBetween(ll.A, ll.B); ok {
+				id = n.canon[e.ID]
+			}
+			if id >= 0 && load[id] != 0 {
 				return fmt.Errorf("flow: snapshot has duplicate load entry for link %d→%d", ll.A, ll.B)
 			}
-			if _, recomputed := n.load[key]; !recomputed {
+			if id < 0 || !covered[id] {
 				return fmt.Errorf("flow: snapshot load entry %d→%d not covered by any flow path", ll.A, ll.B)
 			}
-			load[key] = ll.Load
+			if !(ll.Load > 0) {
+				return fmt.Errorf("flow: snapshot load entry %d→%d is not positive (%v)", ll.A, ll.B, ll.Load)
+			}
+			load[id] = ll.Load
 		}
-		if len(load) != len(n.load) {
-			return fmt.Errorf("flow: snapshot carries %d load entries, flow paths cover %d links", len(load), len(n.load))
+		if len(snap.Loads) != links {
+			return fmt.Errorf("flow: snapshot carries %d load entries, flow paths cover %d links", len(snap.Loads), links)
 		}
 		n.load = load
 	}

@@ -92,8 +92,8 @@ type shardState struct {
 	cur       []traces.Profile
 	pred      [][4]holtState   // per-component Holt state, profile order
 	nObs      []int32          // profiles folded per VM
-	srcs      []traces.Source  // per-VM streams; nil when Kind == Lite
-	lite      []traces.LiteGen // Lite fast path: value slice, no per-VM heap state
+	srcs      []traces.Source  // per-VM streams; nil when Kind == Lite or unbuilt
+	lite      []traces.LiteGen // Lite fast path: value slice, no per-VM heap state; nil until built
 	rackStart []int32          // dense VM range of each rack (len racks+1)
 
 	// Per-rack monitor state and reused alert buckets.
@@ -164,12 +164,6 @@ func (r *Runtime) initSharded() error {
 	sh.vmIndex = make(map[int]int32, n)
 	sh.extProf = make([]traces.Profile, n)
 	sh.extMark = make([]uint64, n)
-	liteKind := r.gen.Kind() == traces.Lite
-	if liteKind {
-		sh.lite = make([]traces.LiteGen, n)
-	} else {
-		sh.srcs = make([]traces.Source, n)
-	}
 	fill := make([]int32, racks)
 	copy(fill, sh.rackStart[:racks])
 	for _, vm := range vms {
@@ -179,13 +173,6 @@ func (r *Runtime) initSharded() error {
 		sh.vms[i] = vm
 		sh.rack[i] = int32(rk)
 		sh.vmIndex[vm.ID] = i
-		if liteKind {
-			// Store the O(1)-state generator by value: a million-VM run
-			// carries 3 words per VM instead of a heap object.
-			sh.lite[i] = *(r.gen.Source(vm.ID, rk).(*traces.LiteGen))
-		} else {
-			sh.srcs[i] = r.gen.Source(vm.ID, rk)
-		}
 	}
 
 	// Shard partition: contiguous rack ranges, balanced by VM count, every
@@ -237,6 +224,42 @@ func (r *Runtime) initSharded() error {
 	r.shims = make([]*migrate.Shim, racks)
 	r.sh = sh
 	return nil
+}
+
+// ensureStreams builds every VM's synthetic profile stream, once. Only
+// Step reads the streams (StepExternal takes its profiles from the
+// caller), and a diurnal stream materializes its whole trace up front, so
+// a runtime fed externally never pays for them.
+func (r *Runtime) ensureStreams() {
+	sh := r.sh
+	if sh.lite != nil || sh.srcs != nil {
+		return
+	}
+	if r.gen.Kind() == traces.Lite {
+		// Store the O(1)-state generator by value: a million-VM run
+		// carries 3 words per VM instead of a heap object.
+		sh.lite = make([]traces.LiteGen, len(sh.vms))
+		for i, vm := range sh.vms {
+			sh.lite[i] = *(r.gen.Source(vm.ID, int(sh.rack[i])).(*traces.LiteGen))
+		}
+		return
+	}
+	sh.srcs = make([]traces.Source, len(sh.vms))
+	for i, vm := range sh.vms {
+		sh.srcs[i] = r.gen.Source(vm.ID, int(sh.rack[i]))
+	}
+}
+
+// streamPos reports how many profiles VM i's stream has produced: 0 when
+// the streams were never built.
+func (sh *shardState) streamPos(i int) int {
+	switch {
+	case sh.lite != nil:
+		return sh.lite[i].Pos()
+	case sh.srcs != nil:
+		return sh.srcs[i].Pos()
+	}
+	return 0
 }
 
 // predictShard is phase 1 for one shard: observe (generator, or the
@@ -530,6 +553,9 @@ func (r *Runtime) shardedPredictPhase(stats *StepStats, rec *obs.Recorder, exter
 		sh.alertsByRack[i] = sh.alertsByRack[i][:0]
 	}
 	sh.external = external
+	if !external {
+		r.ensureStreams()
+	}
 	sh.workers.Do(sh.predictFn)
 	for s := 0; s < sh.n; s++ {
 		stats.ServerAlerts += sh.serverAlerts[s]

@@ -72,13 +72,7 @@ func (r *Runtime) Snapshot() (*Snapshot, error) {
 	}
 	sort.Slice(order, func(a, b int) bool { return sh.vms[order[a]].ID < sh.vms[order[b]].ID })
 	for _, i := range order {
-		pos := 0
-		if sh.lite != nil {
-			pos = sh.lite[i].Pos()
-		} else {
-			pos = sh.srcs[i].Pos()
-		}
-		vs := VMSnap{ID: sh.vms[i].ID, GenPos: pos, Current: sh.cur[i], Hist: int(sh.nObs[i])}
+		vs := VMSnap{ID: sh.vms[i].ID, GenPos: sh.streamPos(i), Current: sh.cur[i], Hist: int(sh.nObs[i])}
 		for c := 0; c < 4; c++ {
 			vs.Trend[c] = [2]float64{sh.pred[i][c].level, sh.pred[i][c].trend}
 		}
@@ -211,10 +205,13 @@ func Restore(cluster *dcn.Cluster, model *cost.Model, opts Options, snap *Snapsh
 		if vs.Hist < 0 {
 			return nil, fmt.Errorf("runtime: snapshot VM %d has negative history length", vs.ID)
 		}
-		if sh.lite != nil {
-			sh.lite[i].Skip(vs.GenPos)
-		} else {
-			sh.srcs[i].Skip(vs.GenPos)
+		if vs.GenPos > 0 {
+			r.ensureStreams()
+			if sh.lite != nil {
+				sh.lite[i].Skip(vs.GenPos)
+			} else {
+				sh.srcs[i].Skip(vs.GenPos)
+			}
 		}
 		sh.cur[i] = vs.Current
 		sh.nObs[i] = int32(vs.Hist)

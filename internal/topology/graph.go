@@ -46,7 +46,14 @@ type Node struct {
 
 // Edge is a directed half of a physical link. Links are installed in both
 // directions with identical attributes.
+//
+// ID is the edge's stable integer identity: AddLink gives the k-th link
+// (0-based) the IDs 2k for its a→b half and 2k+1 for its b→a half, so the
+// reverse half of edge ID is always ID^1 and IDs are dense in
+// [0, NumEdges()). Per-edge state can therefore live in flat slices
+// indexed by ID instead of maps keyed by endpoints.
 type Edge struct {
+	ID        int
 	From, To  int
 	Capacity  float64 // C(e): maximum capacity
 	Distance  float64 // D(e): physical distance
@@ -61,11 +68,16 @@ type Edge struct {
 type Graph struct {
 	nodes []Node
 	adj   [][]Edge
+	loc   []edgeLoc // edge ID → position in the adjacency
 
 	structVer uint64 // bumped by AddNode/AddLink
 	csrMu     sync.Mutex
 	csrRep    *csr
 }
+
+// edgeLoc places one directed edge: it is adj[from][slot], and so also the
+// CSR entry rowStart[from]+slot.
+type edgeLoc struct{ from, slot int32 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
@@ -90,8 +102,10 @@ func (g *Graph) AddLink(a, b int, capacity, distance float64) error {
 	if a == b {
 		return fmt.Errorf("topology: self-loop on node %d", a)
 	}
-	g.adj[a] = append(g.adj[a], Edge{From: a, To: b, Capacity: capacity, Distance: distance, Bandwidth: capacity})
-	g.adj[b] = append(g.adj[b], Edge{From: b, To: a, Capacity: capacity, Distance: distance, Bandwidth: capacity})
+	id := len(g.loc)
+	g.loc = append(g.loc, edgeLoc{int32(a), int32(len(g.adj[a]))}, edgeLoc{int32(b), int32(len(g.adj[b]))})
+	g.adj[a] = append(g.adj[a], Edge{ID: id, From: a, To: b, Capacity: capacity, Distance: distance, Bandwidth: capacity})
+	g.adj[b] = append(g.adj[b], Edge{ID: id + 1, From: b, To: a, Capacity: capacity, Distance: distance, Bandwidth: capacity})
 	g.invalidateCSR()
 	return nil
 }
@@ -131,6 +145,16 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // Node returns the node with the given ID.
 func (g *Graph) Node(id int) Node { return g.nodes[id] }
 
+// NumEdges returns the number of directed edges (twice the link count).
+// Edge IDs are dense in [0, NumEdges()).
+func (g *Graph) NumEdges() int { return len(g.loc) }
+
+// EdgeByID returns the directed edge with the given ID.
+func (g *Graph) EdgeByID(id int) Edge {
+	l := g.loc[id]
+	return g.adj[l.from][l.slot]
+}
+
 // Edges returns the outgoing edges of a node. The returned slice is the
 // graph's own storage; treat it as read-only.
 func (g *Graph) Edges(id int) []Edge { return g.adj[id] }
@@ -149,31 +173,29 @@ func (g *Graph) EdgeBetween(a, b int) (Edge, bool) {
 }
 
 // SetBandwidth updates the available bandwidth on both directions of the
-// link a–b. It returns false if no such link exists.
+// link a–b. It returns false if no such link exists. Between parallel
+// links it updates the first, as EdgeBetween resolves them: links are
+// appended to both endpoints' adjacency in installation order, so the
+// first a→b edge and the first b→a edge are the two halves of one link.
 func (g *Graph) SetBandwidth(a, b int, bw float64) bool {
-	found := false
-	for dir := 0; dir < 2; dir++ {
-		from, to := a, b
-		if dir == 1 {
-			from, to = b, a
-		}
-		if from < 0 || from >= len(g.adj) {
-			return false
-		}
-		for i := range g.adj[from] {
-			if g.adj[from][i].To == to {
-				g.adj[from][i].Bandwidth = bw
-				if c := g.csrRep; c != nil {
-					// Patch the CSR in place: the i-th edge of the
-					// adjacency row is the i-th edge of the CSR row.
-					c.bandwidth[int(c.rowStart[from])+i] = bw
-				}
-				found = true
-				break
-			}
+	e, ok := g.EdgeBetween(a, b)
+	if ok {
+		g.SetLinkBandwidth(e.ID, bw)
+	}
+	return ok
+}
+
+// SetLinkBandwidth updates the available bandwidth on both directions of
+// the link that edge ID belongs to, patching the adjacency and the CSR in
+// place without a scan.
+func (g *Graph) SetLinkBandwidth(id int, bw float64) {
+	for _, h := range [2]int{id, id ^ 1} {
+		l := g.loc[h]
+		g.adj[l.from][l.slot].Bandwidth = bw
+		if c := g.csrRep; c != nil {
+			c.bandwidth[c.rowStart[l.from]+l.slot] = bw
 		}
 	}
-	return found
 }
 
 // Racks returns the IDs of all rack nodes, in creation order.

@@ -54,6 +54,62 @@ func TestSetBandwidth(t *testing.T) {
 	}
 }
 
+// TestEdgeIDs: the k-th link gets IDs 2k (a→b) and 2k+1 (b→a), EdgeByID
+// resolves them, a sweep's EdgeCost sees each edge's own ID, and
+// SetLinkBandwidth patches both halves in the adjacency and the live CSR.
+func TestEdgeIDs(t *testing.T) {
+	g := NewGraph()
+	a := g.AddNode(Rack, "a", 0, 0)
+	b := g.AddNode(Rack, "b", 0, 0)
+	s := g.AddNode(Switch, "s", 0, 1)
+	for _, l := range [][2]int{{a, s}, {s, b}, {b, s}} { // the last is parallel to the second
+		if err := g.AddLink(l[0], l[1], 4, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.NumEdges() != 6 {
+		t.Fatalf("NumEdges = %d, want 6", g.NumEdges())
+	}
+	for id := 0; id < g.NumEdges(); id++ {
+		e := g.EdgeByID(id)
+		r := g.EdgeByID(id ^ 1)
+		if e.ID != id || r.From != e.To || r.To != e.From {
+			t.Fatalf("edge %d = %+v, reverse %+v", id, e, r)
+		}
+	}
+	if e := g.EdgeByID(4); e.From != b || e.To != s {
+		t.Fatalf("link 2 forward half = %+v, want %d→%d", e, b, s)
+	}
+	if e, _ := g.EdgeBetween(s, b); e.ID != 2 {
+		t.Fatalf("first s→b edge has ID %d, want 2", e.ID)
+	}
+	seen := make(map[int]bool)
+	DijkstraFrom(g, []int{a}, func(e Edge) float64 {
+		if got := g.EdgeByID(e.ID); got.From != e.From || got.To != e.To {
+			t.Fatalf("cost saw edge %+v, but its ID names %+v", e, got)
+		}
+		seen[e.ID] = true
+		return e.Distance
+	})
+	if len(seen) != g.NumEdges() {
+		t.Fatalf("cost saw %d edge IDs, want %d", len(seen), g.NumEdges())
+	}
+	g.SetLinkBandwidth(5, 1.5) // the s→b half of the parallel link
+	if g.EdgeByID(4).Bandwidth != 1.5 || g.EdgeByID(5).Bandwidth != 1.5 || g.EdgeByID(2).Bandwidth != 4 {
+		t.Fatalf("SetLinkBandwidth(5) did not patch exactly link 2")
+	}
+	var bw []float64
+	DijkstraFrom(g, []int{a}, func(e Edge) float64 {
+		if e.ID == 4 || e.ID == 5 {
+			bw = append(bw, e.Bandwidth)
+		}
+		return e.Distance
+	})
+	if len(bw) != 2 || bw[0] != 1.5 || bw[1] != 1.5 {
+		t.Fatalf("CSR bandwidth of link 2 = %v, want [1.5 1.5]", bw)
+	}
+}
+
 func TestRacksAndSwitches(t *testing.T) {
 	g := NewGraph()
 	g.AddNode(Rack, "r0", 0, 0)
